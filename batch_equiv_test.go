@@ -15,7 +15,7 @@ func collectDeliveries(t *testing.T, disableBatching bool, lossRate float64) [][
 	t.Helper()
 	cfg := onepipe.Defaults()
 	cfg.Seed = 7
-	cfg.LossRate = lossRate
+	cfg.Impair = &onepipe.ImpairmentProfile{Default: &onepipe.Impairment{Loss: lossRate}}
 	cfg.DisableBatching = disableBatching
 	cl := onepipe.NewCluster(cfg)
 	n := cl.NumProcesses()

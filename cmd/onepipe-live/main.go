@@ -33,7 +33,7 @@ func main() {
 	flag.Parse()
 
 	cfg := udpnet.DefaultConfig(*hosts, 1)
-	cfg.LossRate = *loss
+	cfg.Impair = &netsim.Impairment{Loss: *loss}
 	cfg.Trace = *trace || *debug != ""
 	cfg.DebugAddr = *debug
 	c, err := udpnet.Start(cfg)

@@ -23,8 +23,8 @@ func CaptureWirePackets(seed int64, perKind int) [][]byte {
 	p.Workload.Stop = p.RunFor - 2*sim.Millisecond
 	p.Workload.ReliableFrac = 0.7
 	p.Workload.MaxFanout = 3 // multi-member scatterings, so aborts issue recalls
-	p.BaseLoss = 0.02
-	p.Jitter = 2 * sim.Microsecond // stragglers below the floor draw NAKs
+	// Baseline loss, and jitter so stragglers below the floor draw NAKs.
+	p.Impair = netsim.Uniform(netsim.Impairment{Loss: 0.02, Jitter: 2 * sim.Microsecond})
 	p.Faults = []Fault{
 		{At: 800 * sim.Microsecond, Kind: FaultHostCrash, Host: p.Topo.NumHosts() - 1},
 		{At: 1200 * sim.Microsecond, Kind: FaultLossBurst, Dur: 500 * sim.Microsecond, Rate: 0.2},

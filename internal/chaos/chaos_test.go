@@ -117,7 +117,7 @@ func TestChaosCatchesBrokenPipeline(t *testing.T) {
 		// deviation #8: "under bursty delay jitter this violated the
 		// per-link barrier promise"), so the self-test pins the plans to the
 		// jittered regime rather than waiting for the seed stream to draw it.
-		p.Jitter = 2 * sim.Microsecond
+		p.Impair.Default.Jitter = 2 * sim.Microsecond
 		r := Run(p)
 		vios := Check(r)
 		if len(vios) == 0 {

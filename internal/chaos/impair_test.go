@@ -8,58 +8,26 @@ import (
 	"onepipe/internal/topology"
 )
 
-// TestLegacyKnobsViaProfileGoldenDigests re-runs the pinned golden seeds
-// with every legacy knob (BaseLoss → netsim LossRate, Jitter) expressed
-// through the Impairment profile API instead, and demands the exact
-// pre-redesign digests. This is the redesign's compatibility proof: the
-// profile's uniform Loss/Jitter consume the shared shard RNG at the same
-// code points the legacy fields did, so the runs are byte-identical.
-func TestLegacyKnobsViaProfileGoldenDigests(t *testing.T) {
-	golden := []struct {
-		seed       int64
-		digest     string
-		deliveries int
-	}{
-		{42, "7dd84620e944b40119c7e37aa8f2e1318ebb641d7e2181dd4b4300c70afd460e", 11793},
-		{20260805, "37bc8b4a49a5ca408fbff46279c5d74c42661018f736ad339a3ee85f8ba335f2", 24980},
-	}
-	for _, g := range golden {
-		p := NewPlan(g.seed)
-		p.Impair = &netsim.Profile{Default: &netsim.Impairment{Loss: p.BaseLoss, Jitter: p.Jitter}}
-		p.BaseLoss, p.Jitter = 0, 0
-		r := Run(p)
-		if got := r.Digest(); got != g.digest {
-			t.Errorf("seed %d via profile: digest %s, want %s", g.seed, got, g.digest)
-		}
-		if got := r.TotalDeliveries(); got != g.deliveries {
-			t.Errorf("seed %d via profile: %d deliveries, want %d", g.seed, got, g.deliveries)
-		}
-	}
-}
-
-// TestProfileExpressedKnobsFullEquivalence pins the stronger property on a
-// crafted plan where loss and jitter are both guaranteed nonzero (the golden
-// seeds draw theirs, so either may be zero): the legacy-knob run and the
-// profile-expressed run must agree on the FULL digest — delivery logs and
-// callback logs both.
+// TestProfileExpressedKnobsFullEquivalence pins the full digest — delivery
+// logs and callback logs both — of a crafted plan whose uniform loss and
+// jitter are both nonzero (the golden seeds draw theirs, so either may be
+// zero). The pinned value was recorded from the retired Config.LossRate/
+// Config.Jitter knobs; the profile's uniform Loss/Jitter draw from the
+// shard RNG at the same code points, so the profile-only run reproduces it.
 func TestProfileExpressedKnobsFullEquivalence(t *testing.T) {
-	legacy := craftedPlan(1311,
+	const (
+		wantFull       = "b597c67f6617ef56054ec0b95f8912b22ef16e64eaddb3b10f5e9e4345288401"
+		wantDeliveries = 7532
+	)
+	p := craftedPlan(1311,
 		Fault{At: 1500 * sim.Microsecond, Kind: FaultHostCrash, Host: 4})
-	legacy.BaseLoss = 0.008
-	legacy.Jitter = 400 * sim.Nanosecond
-
-	profiled := legacy
-	profiled.Impair = &netsim.Profile{Default: &netsim.Impairment{
-		Loss: legacy.BaseLoss, Jitter: legacy.Jitter}}
-	profiled.BaseLoss, profiled.Jitter = 0, 0
-
-	a, b := Run(legacy), Run(profiled)
-	if a.FullDigest() != b.FullDigest() {
-		t.Fatalf("legacy vs profile full digests differ: %s != %s",
-			a.FullDigest()[:16], b.FullDigest()[:16])
+	p.Impair = netsim.Uniform(netsim.Impairment{Loss: 0.008, Jitter: 400 * sim.Nanosecond})
+	r := Run(p)
+	if got := r.FullDigest(); got != wantFull {
+		t.Errorf("full digest %s, want %s", got, wantFull)
 	}
-	if a.TotalDeliveries() == 0 {
-		t.Fatal("no deliveries; equivalence vacuous")
+	if got := r.TotalDeliveries(); got != wantDeliveries {
+		t.Errorf("%d deliveries, want %d", got, wantDeliveries)
 	}
 }
 

@@ -138,8 +138,6 @@ type Plan struct {
 	Topo         topology.ClosConfig
 	ProcsPerHost int
 	Mode         core.DeliveryMode
-	BaseLoss     float64
-	Jitter       sim.Time
 	FlowECMP     bool
 	SkewedClocks bool
 	MaxRetx      int
@@ -179,14 +177,11 @@ type Plan struct {
 	Joins  []JoinEvent
 	Drains []DrainEvent
 
-	// Impair attaches a composable link-impairment profile
-	// (netsim.Config.Impair): Gilbert-Elliott burst loss, duty-cycle
-	// loss, reorder, RTT classes, or profile-expressed uniform loss/
-	// jitter. Like BatchWindow it is a crafted-scenario knob seed
-	// derivation never sets, so existing golden digests are unaffected.
-	// A profile expressing only uniform Loss/Jitter (with BaseLoss and
-	// Jitter left zero) replays the legacy knobs' digests byte-for-byte
-	// — TestLegacyKnobsViaProfileGoldenDigests pins that.
+	// Impair is the link-impairment profile (netsim.Config.Impair). Seed
+	// derivation sets its Default to the drawn baseline uniform loss and
+	// jitter; crafted scenarios replace it with Gilbert-Elliott burst
+	// loss, duty-cycle loss, reorder or RTT classes. Loss-burst faults
+	// override its uniform Loss for their window (netsim.SetLossFault).
 	Impair *netsim.Profile
 
 	// Shards splits the network simulation into per-pod shard engines
@@ -225,8 +220,9 @@ func NewPlan(seed int64) Plan {
 	if rng.Intn(2) == 0 {
 		p.Mode = core.DeliverUnified
 	}
-	p.BaseLoss = []float64{0, 0, 0.002, 0.01}[rng.Intn(4)]
-	p.Jitter = []sim.Time{0, 200 * sim.Nanosecond, 2 * sim.Microsecond}[rng.Intn(3)]
+	loss := []float64{0, 0, 0.002, 0.01}[rng.Intn(4)]
+	jitter := []sim.Time{0, 200 * sim.Nanosecond, 2 * sim.Microsecond}[rng.Intn(3)]
+	p.Impair = netsim.Uniform(netsim.Impairment{Loss: loss, Jitter: jitter})
 	p.FlowECMP = rng.Intn(3) == 0 // mostly per-packet spraying: the hard case
 	p.SkewedClocks = rng.Intn(2) == 0
 	p.MaxRetx = 10
@@ -387,8 +383,6 @@ func (p *Plan) HasPartition() bool {
 func (p *Plan) NetConfig() netsim.Config {
 	cfg := netsim.DefaultConfig(p.Topo, p.ProcsPerHost)
 	cfg.Seed = p.Seed
-	cfg.LossRate = p.BaseLoss
-	cfg.Jitter = p.Jitter
 	cfg.Impair = p.Impair
 	cfg.FlowECMP = p.FlowECMP
 	cfg.ControllerManagedCommit = true
@@ -421,8 +415,12 @@ func (p *Plan) CoreConfig() core.Config {
 
 // String renders a replay-oriented one-line summary.
 func (p *Plan) String() string {
+	var base netsim.Impairment
+	if p.Impair != nil && p.Impair.Default != nil {
+		base = *p.Impair.Default
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "seed=%d topo=%+v pph=%d mode=%d loss=%.3f jitter=%v ecmp=%v skew=%v faults=%d",
-		p.Seed, p.Topo, p.ProcsPerHost, p.Mode, p.BaseLoss, p.Jitter, p.FlowECMP, p.SkewedClocks, len(p.Faults))
+		p.Seed, p.Topo, p.ProcsPerHost, p.Mode, base.Loss, base.Jitter, p.FlowECMP, p.SkewedClocks, len(p.Faults))
 	return b.String()
 }

@@ -14,7 +14,6 @@ package livenet
 
 import (
 	"fmt"
-	"math/rand"
 	"net/http"
 	"sync"
 	"time"
@@ -33,20 +32,14 @@ type Config struct {
 	LinkDelay time.Duration
 	// BeaconInterval is T_beacon in wall-clock time.
 	BeaconInterval time.Duration
-	// LossRate drops forwarded data-plane packets at the switch (the
-	// in-process links never lose on their own, so the retransmission
-	// machinery is exercised by injection, as in udpnet).
-	//
-	// Deprecated: use Impair with a netsim.Impairment{Loss: rate}. When
-	// both are set, the nonzero LossRate takes precedence over the
-	// impairment's uniform Loss (its other components still apply).
-	LossRate float64
-	// Seed seeds the loss RNG; zero draws from the wall clock.
+	// Seed seeds the impairment RNG; zero draws from the wall clock.
 	Seed int64
 	// Impair, when non-nil, degrades data-plane packets at the switch with
 	// the full composable model (uniform loss, burst loss, jitter, extra
 	// delay) — the live-fabric counterpart of netsim.Config.Impair. The
-	// fabric has one switch, so one Impairment covers every path.
+	// fabric has one switch, so one Impairment covers every path. The
+	// in-process links never lose on their own, so this is how the
+	// retransmission machinery is exercised, as in udpnet.
 	Impair *netsim.Impairment
 	// Endpoint overrides the lib1pipe configuration.
 	Endpoint *core.Config
@@ -70,11 +63,11 @@ func DefaultConfig(hosts, procsPerHost int) Config {
 
 // Net is a running live fabric.
 type Net struct {
-	cfg  Config
-	ecfg core.Config // resolved endpoint config, reused by runtime joins
-	loop chan func()
-	done chan struct{}
-	wg   sync.WaitGroup
+	cfg   Config
+	ecfg  core.Config // resolved endpoint config, reused by runtime joins
+	loop  chan func()
+	done  chan struct{}
+	wg    sync.WaitGroup
 	start time.Time
 
 	hosts []*core.Host
@@ -87,7 +80,6 @@ type Net struct {
 	// Switch state: per-host-uplink barrier registers.
 	regBE, regC []sim.Time
 	outBE, outC sim.Time
-	rng         *rand.Rand // loss injection; touched only on the loop
 	// imp applies Config.Impair (own RNG per the impairment determinism
 	// contract; touched only on the loop).
 	imp *netsim.ImpairState
@@ -141,13 +133,9 @@ func New(cfg Config) *Net {
 		loop:  make(chan func(), 4096),
 		done:  make(chan struct{}),
 		start: time.Now(),
-		rng:   rand.New(rand.NewSource(seed)),
 	}
 	if cfg.Impair != nil && *cfg.Impair != (netsim.Impairment{}) {
 		imp := *cfg.Impair
-		if cfg.LossRate > 0 {
-			imp.Loss = 0 // legacy knob wins the uniform component
-		}
 		n.imp = netsim.NewImpairState(&imp, seed, 0)
 	}
 	n.wg.Add(1)
@@ -337,10 +325,6 @@ func (n *Net) switchReceive(fromHost int, pkt *netsim.Packet) {
 	case netsim.KindBeacon, netsim.KindCommit:
 		netsim.PutPacket(pkt)
 		return // consumed: registers updated
-	}
-	if n.cfg.LossRate > 0 && n.rng.Float64() < n.cfg.LossRate {
-		netsim.PutPacket(pkt)
-		return // injected loss: barrier registers updated, packet gone
 	}
 	delay := n.cfg.LinkDelay
 	if n.imp != nil {

@@ -13,28 +13,24 @@ import (
 // loss and a WAN delay class on the same link.
 //
 // Determinism contract: every random decision an Impairment makes is drawn
-// from one of two deterministic streams. The uniform Loss and Jitter fields
-// reproduce the legacy Config.LossRate/Config.Jitter draws exactly — they
-// consume the engine-shard RNG (seeded from Config.Seed) at the very same
-// code points the legacy knobs did, so a profile expressing only those two
-// fields replays a legacy run byte-for-byte. All other fields (GE, Duty,
-// ReorderRate, ExtraDelay's reorder draw) consume a dedicated per-link RNG
-// seeded from Config.Seed XOR a salt derived from the link ID, and consume
-// nothing at all when unset — links without those fields configured draw
-// zero values from it, so enabling an advanced impairment on one link never
-// perturbs any other link's stream. Two runs with equal Config.Seed, equal
-// topology and equal profiles are therefore identical, shard count
-// notwithstanding (lockstep drive).
+// from one of two deterministic streams. Inside netsim the uniform Loss and
+// Jitter fields consume the engine-shard RNG (seeded from Config.Seed) at
+// fixed code points in transmit; Network.SetLossFault's override of Loss
+// draws at the same point. All other fields (GE, Duty, ReorderRate,
+// ExtraDelay's reorder draw) consume a dedicated per-link RNG seeded from
+// Config.Seed XOR a salt derived from the link ID, and consume nothing at
+// all when unset — links without those fields configured draw zero values
+// from it, so enabling an advanced impairment on one link never perturbs
+// any other link's stream. Two runs with equal Config.Seed, equal topology
+// and equal profiles are therefore identical, shard count notwithstanding
+// (lockstep drive).
 type Impairment struct {
-	// Loss is a uniform per-packet corruption probability, equivalent to
-	// the deprecated Config.LossRate. When Config.LossRate is nonzero it
-	// takes precedence over this field (that is what lets chaos fault
-	// injection raise the rate at runtime over a profile baseline).
+	// Loss is a uniform per-packet corruption probability. While a
+	// Network.SetLossFault is armed, the fault's rate replaces it.
 	Loss float64
-	// Jitter adds the legacy Config.Jitter delay-variation pattern:
-	// uniform [0, Jitter/3] per packet plus an occasional (5%) long tail
-	// of up to 4×Jitter, FIFO-clamped so the link never reorders. When
-	// Config.Jitter is nonzero it takes precedence over this field.
+	// Jitter adds delay variation: uniform [0, Jitter/3] per packet plus
+	// an occasional (5%) long tail of up to 4×Jitter, FIFO-clamped so the
+	// link never reorders.
 	Jitter sim.Time
 	// ExtraDelay adds a constant one-way delay — an RTT class. A WAN or
 	// cross-datacenter link is modeled by ExtraDelay = RTT/2. Constant
@@ -108,16 +104,6 @@ func (p *Profile) For(id topology.LinkID, kind topology.LinkKind) *Impairment {
 		return imp
 	}
 	return p.Default
-}
-
-// UniformLoss is the profile equivalent of the deprecated Config.LossRate.
-func UniformLoss(rate float64) *Profile {
-	return &Profile{Default: &Impairment{Loss: rate}}
-}
-
-// UniformJitter is the profile equivalent of the deprecated Config.Jitter.
-func UniformJitter(j sim.Time) *Profile {
-	return &Profile{Default: &Impairment{Jitter: j}}
 }
 
 // Uniform applies one impairment to every link.

@@ -118,33 +118,106 @@ func TestBurstLossDerivation(t *testing.T) {
 	}
 }
 
-// TestUniformLossProfileMatchesLegacy runs the same small fabric workload
-// with Cfg.LossRate and with the equivalent UniformLoss profile and demands
-// identical drop counts — the draw-for-draw compatibility the deprecation
-// note promises.
+// TestUniformLossProfileMatchesLegacy pins the drop count of a small
+// fabric workload under a uniform loss+jitter profile. The pinned value was
+// recorded from the retired Config.LossRate/Config.Jitter knobs: the
+// profile's uniform components draw from the shard RNG at the same code
+// points, so the profile replays the legacy run draw for draw.
 func TestUniformLossProfileMatchesLegacy(t *testing.T) {
-	run := func(mut func(*Config)) uint64 {
-		topo := topology.ClosConfig{Pods: 1, RacksPerPod: 2, HostsPerRack: 2, SpinesPerPod: 1, Cores: 1}
-		cfg := DefaultConfig(topo, 1)
-		cfg.Seed = 77
-		mut(&cfg)
-		n := New(cfg)
-		for i := 0; i < 400; i++ {
-			src := ProcID(i % 4)
-			n.SendFromProc(src, &Packet{Kind: KindData, Src: src, Dst: ProcID((i + 1) % 4), Size: 256})
-			n.Eng.RunFor(500 * sim.Nanosecond)
+	const legacyDrops = 99
+	topo := topology.ClosConfig{Pods: 1, RacksPerPod: 2, HostsPerRack: 2, SpinesPerPod: 1, Cores: 1}
+	cfg := DefaultConfig(topo, 1)
+	cfg.Seed = 77
+	cfg.Impair = Uniform(Impairment{Loss: 0.08, Jitter: 300 * sim.Nanosecond})
+	n := New(cfg)
+	for i := 0; i < 400; i++ {
+		src := ProcID(i % 4)
+		n.SendFromProc(src, &Packet{Kind: KindData, Src: src, Dst: ProcID((i + 1) % 4), Size: 256})
+		n.Eng.RunFor(500 * sim.Nanosecond)
+	}
+	n.Eng.RunFor(100 * sim.Microsecond)
+	if got := n.Stats.CorruptDrop; got != legacyDrops {
+		t.Errorf("drops %d, want %d", got, legacyDrops)
+	}
+}
+
+// lossFaultNet builds a network with no host beacons, so host uplinks
+// carry only the data the test sends.
+func lossFaultNet(imp *Profile) *Network {
+	cfg := DefaultConfig(topology.ClosConfig{Pods: 1, RacksPerPod: 2, HostsPerRack: 2, SpinesPerPod: 1, Cores: 1}, 1)
+	cfg.Seed = 13
+	cfg.Impair = imp
+	return New(cfg)
+}
+
+// sendData sends count data packets from host 0 to host 3 (across racks:
+// host uplink, ToR-spine, spine-ToR and ToR-host links), one per 500 ns.
+func sendData(n *Network, count int) {
+	for i := 0; i < count; i++ {
+		n.SendFromHost(0, &Packet{Kind: KindData, Src: 0, Dst: 3, Size: 128})
+		n.Eng.RunFor(500 * sim.Nanosecond)
+	}
+	n.Eng.RunFor(20 * sim.Microsecond)
+}
+
+// TestLossFaultOverridesProfile: while armed, SetLossFault replaces the
+// uniform loss of every link — the ByKind-profiled host uplink and the
+// unprofiled fabric links alike; clearing it restores the profile's own
+// Loss on the uplink and nothing elsewhere.
+func TestLossFaultOverridesProfile(t *testing.T) {
+	n := lossFaultNet(&Profile{ByKind: map[topology.LinkKind]*Impairment{
+		topology.LinkHostUp: {Loss: 0.25},
+	}})
+	delivered := 0
+	n.AttachHost(3, func(p *Packet) {
+		if p.Kind == KindData {
+			delivered++
 		}
-		n.Eng.RunFor(100 * sim.Microsecond)
-		return n.Stats.CorruptDrop
-	}
-	legacyDrops := run(func(c *Config) { c.LossRate = 0.08; c.Jitter = 300 * sim.Nanosecond })
-	profileDrops := run(func(c *Config) {
-		c.Impair = &Profile{Default: &Impairment{Loss: 0.08, Jitter: 300 * sim.Nanosecond}}
 	})
-	if legacyDrops == 0 {
-		t.Fatal("legacy run dropped nothing; workload too small")
+	const sent = 400
+	phase := func(name string, fault, lo, hi float64) {
+		t.Helper()
+		delivered = 0
+		drop0 := n.Stats.CorruptDrop
+		n.SetLossFault(fault)
+		sendData(n, sent)
+		drops := int(n.Stats.CorruptDrop - drop0)
+		if delivered+drops != sent {
+			t.Fatalf("%s: delivered %d + dropped %d != sent %d", name, delivered, drops, sent)
+		}
+		if rate := float64(delivered) / sent; rate < lo || rate > hi {
+			t.Fatalf("%s: delivered fraction %.3f, want in [%.2f, %.2f]", name, rate, lo, hi)
+		}
 	}
-	if legacyDrops != profileDrops {
-		t.Errorf("drops differ: legacy %d, profile %d", legacyDrops, profileDrops)
+	// 0.5 on each of four links survives 1/16 of the time; had the fault
+	// reached only the profiled uplink, half would survive.
+	phase("armed", 0.5, 0.02, 0.12)
+	// Cleared: only the uplink's 0.25 remains.
+	phase("cleared", 0, 0.65, 0.85)
+}
+
+// TestLossFaultDrawsNothingWithoutProfile: on an unprofiled fabric the hook
+// at rate 0 must not consume the shard RNG — the stream after the run equals
+// that of a run where the hook is never touched — while an armed window
+// does consume it.
+func TestLossFaultDrawsNothingWithoutProfile(t *testing.T) {
+	run := func(faults ...float64) (next int64, drops uint64) {
+		n := lossFaultNet(nil)
+		for _, rate := range faults {
+			n.SetLossFault(rate)
+			sendData(n, 50)
+		}
+		n.SetLossFault(0)
+		sendData(n, 50)
+		return n.rng.Int63(), n.Stats.CorruptDrop
+	}
+	never, _ := run()
+	cleared, drops := run(0, 0)
+	if drops != 0 || cleared != never {
+		t.Fatalf("unarmed hook changed the shard-RNG stream (%d drops)", drops)
+	}
+	armed, drops := run(0.3, 0)
+	if drops == 0 || armed == never {
+		t.Fatal("armed fault neither dropped nor drew: the comparison is vacuous")
 	}
 }

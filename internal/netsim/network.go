@@ -62,8 +62,8 @@ type linkState struct {
 	// is at least the link propagation — which bounds the lookahead. With
 	// one shard both point at the same state and nothing changes.
 	src, dst *shardState
-	busy sim.Time // egress busy-until
-	last sim.Time // last transmit completion (idle detection)
+	busy     sim.Time // egress busy-until
+	last     sim.Time // last transmit completion (idle detection)
 	// imp is the resolved impairment state for this link (nil when the
 	// profile leaves it clean). Egress-owned: only transmit touches it.
 	imp *ImpairState
@@ -168,6 +168,8 @@ type Network struct {
 	// hostRx receives every packet (including beacons) delivered to a host.
 	hostRx []func(*Packet)
 	rng    *rand.Rand
+	// lossFault is the SetLossFault override; 0 when no fault is armed.
+	lossFault float64
 
 	// OnLinkDead, if set, is invoked when a switch's dead-link scanner
 	// removes an input link — the controller's failure Detect signal.
@@ -416,11 +418,11 @@ func (n *Network) transmit(l *linkState, pkt *Packet) {
 	}
 	sh.stats.PktsByKind[pkt.Kind]++
 	sh.stats.BytesByKind[pkt.Kind] += uint64(pkt.Size)
-	// Uniform corruption: the legacy global knob when set (runtime fault
-	// injection mutates it), otherwise the link profile's Loss. Either way
-	// the draw comes from the shared shard RNG at this exact point, so a
-	// profile-expressed LossRate replays a legacy run byte-for-byte.
-	loss := n.Cfg.LossRate
+	// Uniform corruption: the armed loss fault when set, otherwise the
+	// link profile's Loss. Either way the draw comes from the shared shard
+	// RNG at this exact point, so a fault window consumes the same stream
+	// position the profile's uniform loss would.
+	loss := n.lossFault
 	if loss == 0 && l.imp != nil {
 		loss = l.imp.Imp.Loss
 	}
@@ -437,28 +439,25 @@ func (n *Network) transmit(l *linkState, pkt *Packet) {
 		return
 	}
 	arrive := l.busy + l.prop
-	j := n.Cfg.Jitter
-	if j == 0 && l.imp != nil {
-		j = l.imp.Imp.Jitter
-	}
-	if j > 0 {
-		// Bursty delay variance: mostly a small wiggle, occasionally a
-		// straggler several times the nominal jitter (transient queueing
-		// behind a burst) — the delay asymmetry that makes multi-path
-		// ordering hazards real (§2.2.1).
-		extra := sim.Time(sh.rng.Int63n(int64(j)/3 + 1))
-		if sh.rng.Intn(20) == 0 {
-			extra += sim.Time(sh.rng.Int63n(int64(j) * 4))
-		}
-		arrive += extra
-		// FIFO clamp: a jittered packet never overtakes its predecessor
-		// on the same link (the barrier invariant rests on this).
-		if arrive < l.lastArrival {
-			arrive = l.lastArrival
-		}
-		l.lastArrival = arrive
-	}
 	if l.imp != nil {
+		if j := l.imp.Imp.Jitter; j > 0 {
+			// Bursty delay variance: mostly a small wiggle, occasionally
+			// a straggler several times the nominal jitter (transient
+			// queueing behind a burst) — the delay asymmetry that makes
+			// multi-path ordering hazards real (§2.2.1).
+			extra := sim.Time(sh.rng.Int63n(int64(j)/3 + 1))
+			if sh.rng.Intn(20) == 0 {
+				extra += sim.Time(sh.rng.Int63n(int64(j) * 4))
+			}
+			arrive += extra
+			// FIFO clamp: a jittered packet never overtakes its
+			// predecessor on the same link (the barrier invariant rests
+			// on this).
+			if arrive < l.lastArrival {
+				arrive = l.lastArrival
+			}
+			l.lastArrival = arrive
+		}
 		// ExtraDelay (RTT class) is constant per link and added after the
 		// clamp: it shifts every arrival equally, preserving FIFO. The
 		// reorder hold-back deliberately skips the clamp — it models a
@@ -859,6 +858,14 @@ func (n *Network) CommitGatedLinks() []topology.LinkID {
 	}
 	return out
 }
+
+// SetLossFault arms a fabric-wide loss fault: while rate is nonzero it
+// overrides every link's uniform Impairment.Loss (links without a profile
+// included), drawing from the shard RNG at the same point the profile's
+// Loss does. SetLossFault(0) clears it and restores each link's profile.
+// It is the runtime fault-injection hook for loss, as G.KillLink is for
+// link failure; chaos loss bursts arm and clear it.
+func (n *Network) SetLossFault(rate float64) { n.lossFault = rate }
 
 // ResumeCommitPlane removes a dead input link from commit-plane aggregation.
 // The controller calls this in its Resume step, after every correct process

@@ -3,29 +3,32 @@ package udpnet
 import (
 	"testing"
 	"time"
+
+	"onepipe/internal/netsim"
 )
 
 // TestSeedDeterminesLossRNG pins the Config.Seed contract: equal seeds give
-// the switch identical loss-injection draw sequences (so a lossy live run
-// can be replayed), different seeds give different ones, and a zero seed
-// still yields a working RNG. The draws are read under the switch lock, the
-// same way the forwarding path consumes them.
+// the switch's impairment identical drop-decision sequences (so a lossy live
+// run can be replayed), different seeds give different ones, and a zero seed
+// still yields a working RNG. The decisions are drawn under the switch lock,
+// the same way the forwarding path consumes them.
 func TestSeedDeterminesLossRNG(t *testing.T) {
 	mk := func(seed int64) *Switch {
 		s, err := newSwitch(Config{
 			Hosts: 2, ProcsPerHost: 1, BeaconInterval: time.Hour, Seed: seed,
+			Impair: &netsim.Impairment{Loss: 0.5},
 		}, time.Now())
 		if err != nil {
 			t.Fatalf("newSwitch: %v", err)
 		}
 		return s
 	}
-	draw := func(s *Switch, k int) []float64 {
+	draw := func(s *Switch, k int) []bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		out := make([]float64, k)
+		out := make([]bool, k)
 		for i := range out {
-			out[i] = s.rng.Float64()
+			out[i] = s.imp.Drop(0)
 		}
 		return out
 	}
@@ -35,7 +38,7 @@ func TestSeedDeterminesLossRNG(t *testing.T) {
 	defer b.close()
 	defer c.close()
 
-	da, db, dc := draw(a, 16), draw(b, 16), draw(c, 16)
+	da, db, dc := draw(a, 64), draw(b, 64), draw(c, 64)
 	for i := range da {
 		if da[i] != db[i] {
 			t.Fatalf("draw %d differs across switches seeded identically: %v vs %v", i, da[i], db[i])

@@ -2,7 +2,6 @@ package udpnet
 
 import (
 	"bytes"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -37,10 +36,8 @@ type Switch struct {
 	lastFwd map[int]time.Time
 	outBE   sim.Time
 	outC    sim.Time
-	rng     *rand.Rand
-	// imp applies Config.Impair. It draws from its own RNG, never s.rng —
-	// seed-pinned tests depend on the legacy stream staying untouched.
-	imp *netsim.ImpairState
+	// imp applies Config.Impair from its own seeded RNG.
+	imp     *netsim.ImpairState
 	closed  bool
 	stopped chan struct{}
 	wg      sync.WaitGroup
@@ -71,15 +68,11 @@ func newSwitch(cfg Config, epoch time.Time) (*Switch, error) {
 		regBE:     make(map[int]sim.Time),
 		regC:      make(map[int]sim.Time),
 		lastFwd:   make(map[int]time.Time),
-		rng:       rand.New(rand.NewSource(seed)),
 		stopped:   make(chan struct{}),
 		regNotify: make(chan struct{}, 1),
 	}
 	if cfg.Impair != nil && *cfg.Impair != (netsim.Impairment{}) {
 		imp := *cfg.Impair
-		if cfg.LossRate > 0 {
-			imp.Loss = 0 // legacy knob wins the uniform component
-		}
 		s.imp = netsim.NewImpairState(&imp, seed, 0)
 	}
 	s.wg.Add(2)
@@ -199,10 +192,6 @@ func (s *Switch) handle(pkt *netsim.Packet, payload, raw []byte, from *net.UDPAd
 
 	dstHost := int(pkt.Dst) / s.cfg.ProcsPerHost
 	if s.blackhole[srcHost] || s.blackhole[dstHost] || s.drained[dstHost] {
-		s.Dropped++
-		return
-	}
-	if s.cfg.LossRate > 0 && s.rng.Float64() < s.cfg.LossRate {
 		s.Dropped++
 		return
 	}

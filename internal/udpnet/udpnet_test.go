@@ -106,7 +106,7 @@ func TestUDPReliableUnderInjectedLoss(t *testing.T) {
 	cfg := DefaultConfig(3, 1)
 	// High enough that a run with zero drops is implausible (the switch
 	// RNG is time-seeded): ~100 packets at 20% loss.
-	cfg.LossRate = 0.2
+	cfg.Impair = &netsim.Impairment{Loss: 0.2}
 	c, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
