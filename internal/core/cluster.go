@@ -14,9 +14,9 @@ type simWire struct {
 	host int
 }
 
-func (w simWire) Send(pkt *netsim.Packet)     { w.n.SendFromHost(w.host, pkt) }
-func (w simWire) Now() sim.Time               { return w.n.Clocks[w.host].Now() }
-func (w simWire) After(d sim.Time, fn func()) { w.n.Eng.After(d, fn) }
+func (w simWire) Send(pkt *netsim.Packet)    { w.n.SendFromHost(w.host, pkt) }
+func (w simWire) Now() sim.Time              { return w.n.Clocks[w.host].Now() }
+func (w simWire) Timer(fn func()) *sim.Timer { return sim.NewTimer(w.n.Eng, fn) }
 
 // Cluster is a fully deployed 1Pipe fabric on the network simulator: one
 // lib1pipe Host per simulated machine and one Proc per process.

@@ -83,14 +83,14 @@ type conn struct {
 	ackTotal  int
 	ackECN    int
 	windowEnd [2]uint32
-	rto       *timer
+	rto       *sim.Timer
 	// doorbell fires Config.BatchWindow after a partial frame started
 	// waiting for more same-destination messages; holding is set while the
 	// queue head is deliberately delayed (the host's barrier floor is
 	// clamped below the held timestamp meanwhile), and flushAll forces
 	// every queued batchable fragment out once the doorbell has rung, even
 	// if emission is interleaved with window waits.
-	doorbell *timer
+	doorbell *sim.Timer
 	holding  bool
 	flushAll bool
 }
@@ -107,8 +107,8 @@ func (h *Host) getConn(src, dst netsim.ProcID) *conn {
 		}
 		c.unacked[0] = make(map[uint32]*outPkt)
 		c.unacked[1] = make(map[uint32]*outPkt)
-		c.rto = newTimer(h.wire, c.onRTO)
-		c.doorbell = newTimer(h.wire, c.onDoorbell)
+		c.rto = h.wire.Timer(c.onRTO)
+		c.doorbell = h.wire.Timer(c.onDoorbell)
 		// Re-establishment after idle eviction: resume the evicted PSN
 		// spaces so the receiver's duplicate detection stays coherent.
 		if cur, ok := h.connMemo[k]; ok {
@@ -171,7 +171,7 @@ func (c *conn) onAck(reliable bool, psn uint32, ecn bool) {
 	c.inflight--
 	c.dctcpAck(k, psn, ecn)
 	if len(c.unacked[1]) == 0 {
-		c.rto.stop()
+		c.rto.Stop()
 	}
 	// One ACK completes the whole frame: every chained member was carried
 	// (or spanned) by the acknowledged packet.
@@ -296,8 +296,8 @@ func (c *conn) emitRun(head *outPkt) {
 		}
 	}
 	h.emit(c.buildUnit(head))
-	if head.scat.reliable && !c.rto.armed {
-		c.rto.reset(h.Cfg.RTO)
+	if head.scat.reliable && !c.rto.Armed() {
+		c.rto.Reset(h.Cfg.RTO)
 	}
 }
 
@@ -320,12 +320,12 @@ func (c *conn) updateHold(held bool) {
 		head := c.sendQ[0]
 		if !c.holding {
 			c.holding = true
-			c.doorbell.reset(head.scat.batchWin)
+			c.doorbell.Reset(head.scat.batchWin)
 		}
 		h.holdSet(c, head.scat.ts)
 	} else if c.holding {
 		c.holding = false
-		c.doorbell.stop()
+		c.doorbell.Stop()
 		h.holdClear(c)
 	}
 }
@@ -414,7 +414,7 @@ func (c *conn) onRTO() {
 	c.relOrder = kept
 	c.relStale = 0
 	if rearm {
-		c.rto.reset(h.Cfg.RTO * sim.Time(1+min(4, c.minRetx())))
+		c.rto.Reset(h.Cfg.RTO * sim.Time(1+min(4, c.minRetx())))
 	}
 	if exhausted {
 		// The freed slots can admit queued fragments and credit-blocked
@@ -518,7 +518,7 @@ func (c *conn) dropInflight(k int, psn uint32) {
 	}
 	c.inflight--
 	if len(c.unacked[1]) == 0 {
-		c.rto.stop()
+		c.rto.Stop()
 	}
 }
 
@@ -608,7 +608,7 @@ type scattering struct {
 	// ACK tracking.
 	unackedPkts int
 	// failTimer drives best-effort loss detection.
-	failTimer *timer
+	failTimer *sim.Timer
 	// ackedMsg[i] counts ACKed packets of msgs[i] (for per-message
 	// send-failure reporting).
 	ackedMsg []int
@@ -781,8 +781,8 @@ func (h *Host) launch(s *scattering) {
 		s.credits[i].conn.pump() // ordered: deterministic emission
 	}
 	if !s.reliable && !h.Cfg.DisableBEAck {
-		s.failTimer = newTimer(h.wire, func() { h.beSendTimeout(s) })
-		s.failTimer.reset(h.Cfg.SendFailTimeout)
+		s.failTimer = h.wire.Timer(func() { h.beSendTimeout(s) })
+		s.failTimer.Reset(h.Cfg.SendFailTimeout)
 	}
 }
 
@@ -801,7 +801,7 @@ func (h *Host) onPacketAcked(op *outPkt) {
 	if s.reliable {
 		h.reapOutstanding()
 	} else if s.failTimer != nil {
-		s.failTimer.stop()
+		s.failTimer.Stop()
 	}
 }
 

@@ -16,7 +16,9 @@ type discardWire struct {
 
 func (w *discardWire) Send(pkt *netsim.Packet) { netsim.PutPacket(pkt) }
 func (w *discardWire) Now() sim.Time           { return w.now }
-func (w *discardWire) After(sim.Time, func())  {}
+func (w *discardWire) Timer(fn func()) *sim.Timer {
+	return sim.NewWallTimer(func(sim.Time, func()) {}, fn)
+}
 
 // BenchmarkRTORetransmit measures one RTO firing over a window of n unACKed
 // reliable packets. The PSN-ordered relOrder walk replaced rebuilding and

@@ -116,22 +116,22 @@ type Host struct {
 	// floor (§5.1 Commit phase).
 	outstanding []*scattering
 	// Receive side.
-	rconns      map[connKey]*rconn
-	barrierBE   sim.Time
-	barrierC    sim.Time
+	rconns    map[connKey]*rconn
+	barrierBE sim.Time
+	barrierC  sim.Time
 	// beQ/relQ order the two reliability planes; rlxQ holds untagged
 	// reliable traffic under DeliverConflictAware, drained by the commit
 	// barrier alone (outside the cross-class order).
 	beQ, relQ, rlxQ reorderBuf
-	deliveredBE sim.Time
-	deliveredC  sim.Time
+	deliveredBE     sim.Time
+	deliveredC      sim.Time
 	// Lazy connection lifecycle: evicted peers leave a tiny PSN cursor
 	// behind (send-side next PSNs, receive-side consumed-prefix bases) so
 	// the pair re-establishes mid-epoch without a handshake; evictTimer
 	// drives the periodic idle sweep when Config.ConnIdleEvict is set.
 	connMemo   map[connKey]connCursor
 	rconnMemo  map[connKey][2]uint32
-	evictTimer *timer
+	evictTimer *sim.Timer
 	// batchQ accumulates a contiguous run of below-barrier deliveries for
 	// one process during drain; flushed through OnDeliverBatch. The slice
 	// is reused across batches — receivers must not retain it.
@@ -154,7 +154,7 @@ type Host struct {
 	// controller-forwarding path (§5.2) hooks in here.
 	OnStuck func(src, dst netsim.ProcID, ts sim.Time)
 
-	beaconTimer    *timer
+	beaconTimer    *sim.Timer
 	lastUplinkSend sim.Time
 	stopped        bool
 	// draining refuses new sends while the window flushes — the first
@@ -175,7 +175,7 @@ type recallKey struct {
 
 type recallState struct {
 	scat  *scattering
-	timer *timer
+	timer *sim.Timer
 	tries int
 }
 
@@ -183,12 +183,12 @@ type recallState struct {
 // Call Start to begin beacon generation, then AddProc for each process.
 func NewHost(id int, wire Wire, cfg Config) *Host {
 	h := &Host{
-		Cfg:         cfg.withDefaults(),
-		ID:          id,
-		wire:        wire,
-		procs:       make(map[netsim.ProcID]*Proc),
-		conns:       make(map[connKey]*conn),
-		rconns:      make(map[connKey]*rconn),
+		Cfg:           cfg.withDefaults(),
+		ID:            id,
+		wire:          wire,
+		procs:         make(map[netsim.ProcID]*Proc),
+		conns:         make(map[connKey]*conn),
+		rconns:        make(map[connKey]*rconn),
 		failedPeers:   make(map[netsim.ProcID]sim.Time),
 		recallTomb:    make(map[recallKey]bool),
 		recalls:       make(map[recallKey]*recallState),
@@ -250,11 +250,11 @@ func (h *Host) Start() {
 	if h.beaconTimer != nil {
 		return
 	}
-	h.beaconTimer = newTimer(h.wire, h.beaconTick)
-	h.beaconTimer.reset(h.Cfg.BeaconInterval)
+	h.beaconTimer = h.wire.Timer(h.beaconTick)
+	h.beaconTimer.Reset(h.Cfg.BeaconInterval)
 	if h.Cfg.ConnIdleEvict > 0 {
-		h.evictTimer = newTimer(h.wire, h.evictTick)
-		h.evictTimer.reset(h.Cfg.ConnIdleEvict)
+		h.evictTimer = h.wire.Timer(h.evictTick)
+		h.evictTimer.Reset(h.Cfg.ConnIdleEvict)
 	}
 }
 
@@ -263,7 +263,7 @@ func (h *Host) evictTick() {
 		return
 	}
 	h.evictIdle(h.wire.Now() - h.Cfg.ConnIdleEvict)
-	h.evictTimer.reset(h.Cfg.ConnIdleEvict)
+	h.evictTimer.Reset(h.Cfg.ConnIdleEvict)
 }
 
 // evictIdle reclaims per-peer state last used at or before deadline. A
@@ -294,8 +294,8 @@ func (h *Host) evictIdle(deadline sim.Time) {
 			len(c.unacked[0]) != 0 || len(c.unacked[1]) != 0 || len(c.stuckPkts) != 0 {
 			continue
 		}
-		c.rto.stop()
-		c.doorbell.stop()
+		c.rto.Stop()
+		c.doorbell.Stop()
 		h.connMemo[k] = connCursor{nextPSN: c.nextPSN}
 		delete(h.conns, k)
 		h.Stats.ConnsEvicted++
@@ -355,8 +355,8 @@ func (h *Host) Drain(done func()) {
 		return
 	}
 	h.draining = true
-	var poll func()
-	poll = func() {
+	var tm *sim.Timer
+	poll := func() {
 		if h.stopped {
 			return
 		}
@@ -370,8 +370,9 @@ func (h *Host) Drain(done func()) {
 			done()
 			return
 		}
-		h.wire.After(h.Cfg.BeaconInterval, poll)
+		tm.Reset(h.Cfg.BeaconInterval)
 	}
+	tm = h.wire.Timer(poll)
 	poll()
 }
 
@@ -382,24 +383,24 @@ func (h *Host) Draining() bool { return h.draining }
 func (h *Host) Stop() {
 	h.stopped = true
 	if h.beaconTimer != nil {
-		h.beaconTimer.stop()
+		h.beaconTimer.Stop()
 	}
 	if h.evictTimer != nil {
-		h.evictTimer.stop()
+		h.evictTimer.Stop()
 	}
 	for _, c := range h.conns {
 		if c.rto != nil {
-			c.rto.stop()
+			c.rto.Stop()
 		}
 		if c.doorbell != nil {
-			c.doorbell.stop()
+			c.doorbell.Stop()
 		}
 	}
 	for _, r := range h.recalls {
-		r.timer.stop()
+		r.timer.Stop()
 	}
 	for _, p := range h.ackPending {
-		p.timer.stop()
+		p.timer.Stop()
 	}
 }
 
@@ -420,7 +421,7 @@ func (h *Host) beaconTick() {
 	} else {
 		h.sendBeacon()
 	}
-	h.beaconTimer.reset(h.Cfg.BeaconInterval)
+	h.beaconTimer.Reset(h.Cfg.BeaconInterval)
 }
 
 func (h *Host) sendBeacon() {
@@ -617,7 +618,7 @@ func (h *Host) send(p *Proc, msgs []Message, o SendOptions) error {
 		if len(cr.conn.sendQ)+cr.needed > h.Cfg.SendQueueCap {
 			h.Stats.Backpressure++
 			retry := h.wire.Now() + h.Cfg.RTO
-			if cr.conn.holding && cr.conn.doorbell.armed {
+			if cr.conn.holding && cr.conn.doorbell.Armed() {
 				retry = h.wire.Now() + h.Cfg.BatchWindow
 			}
 			return &BackpressureError{Dst: cr.conn.key.dst, RetryAt: retry}

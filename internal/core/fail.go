@@ -233,10 +233,10 @@ func (h *Host) abortScatteringExcept(s *scattering, noRecall netsim.ProcID) {
 		s.recallsPending++
 		h.failWait++
 		rs := &recallState{scat: s}
-		rs.timer = newTimer(h.wire, func() { h.resendRecall(rk, rs) })
+		rs.timer = h.wire.Timer(func() { h.resendRecall(rk, rs) })
 		h.recalls[rk] = rs
 		h.sendRecall(s.owner.ID, rk)
-		rs.timer.reset(h.Cfg.RTO)
+		rs.timer.Reset(h.Cfg.RTO)
 	}
 	// Drop un-ACKed packets of this scattering to stop retransmission.
 	for i := range s.credits {
@@ -272,14 +272,14 @@ func (h *Host) resendRecall(rk recallKey, rs *recallState) {
 		return
 	}
 	h.sendRecall(rs.scat.owner.ID, rk)
-	rs.timer.reset(h.Cfg.RTO)
+	rs.timer.Reset(h.Cfg.RTO)
 }
 
 // finishRecall resolves one outstanding recall — acknowledged, controller-
 // resolved, or abandoned after MaxRetx — releasing the aborting scattering
 // and the failure-completion wait.
 func (h *Host) finishRecall(rk recallKey, rs *recallState) {
-	rs.timer.stop()
+	rs.timer.Stop()
 	delete(h.recalls, rk)
 	rs.scat.recallsPending--
 	if rs.scat.recallsPending == 0 {

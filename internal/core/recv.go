@@ -619,7 +619,7 @@ type ackBatch struct {
 // ackPend accumulates ACKs toward one sender/class until flushed.
 type ackPend struct {
 	batch ackBatch
-	timer *timer
+	timer *sim.Timer
 }
 
 type ackKey struct {
@@ -643,11 +643,11 @@ func (h *Host) ackPacket(pkt *netsim.Packet) {
 	p := h.ackPending[k]
 	if p == nil {
 		p = &ackPend{}
-		p.timer = newTimer(h.wire, func() { h.flushAcks(k) })
+		p.timer = h.wire.Timer(func() { h.flushAcks(k) })
 		h.ackPending[k] = p
 	}
 	if len(p.batch.psns) == 0 {
-		p.timer.reset(h.Cfg.AckFlush)
+		p.timer.Reset(h.Cfg.AckFlush)
 	}
 	p.batch.psns = append(p.batch.psns, pkt.PSN)
 	p.batch.ecn = append(p.batch.ecn, pkt.ECN)
@@ -664,7 +664,7 @@ func (h *Host) flushAcks(k ackKey) {
 	}
 	batch := p.batch
 	p.batch = ackBatch{}
-	p.timer.stop()
+	p.timer.Stop()
 	ack := netsim.GetPacket()
 	ack.Kind, ack.Src, ack.Dst = netsim.KindAck, k.local, k.remote
 	ack.PSN, ack.Reliable = batch.psns[0], k.reliable

@@ -23,8 +23,10 @@ type stubTimer struct {
 
 func (w *stubWire) Send(p *netsim.Packet) { w.sent = append(w.sent, p) }
 func (w *stubWire) Now() sim.Time         { return w.now }
-func (w *stubWire) After(d sim.Time, fn func()) {
-	w.timers = append(w.timers, stubTimer{at: w.now + d, fn: fn})
+func (w *stubWire) Timer(fn func()) *sim.Timer {
+	return sim.NewWallTimer(func(d sim.Time, fire func()) {
+		w.timers = append(w.timers, stubTimer{at: w.now + d, fn: fire})
+	}, fn)
 }
 
 // advance runs due timers in order.

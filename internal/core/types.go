@@ -24,8 +24,9 @@ type Wire interface {
 	Send(pkt *netsim.Packet)
 	// Now returns the host clock in nanoseconds.
 	Now() sim.Time
-	// After schedules fn once, d nanoseconds from now.
-	After(d sim.Time, fn func())
+	// Timer returns a disarmed timer on the host clock that runs fn when
+	// it fires, serialized with the host's other work.
+	Timer(fn func()) *sim.Timer
 }
 
 // Message is one element of a scattering: payload for one destination.
@@ -231,32 +232,4 @@ func (c Config) withDefaults() Config {
 		c.SendQueueCap = d.SendQueueCap
 	}
 	return c
-}
-
-// timer is a light re-armable timer over Wire.After.
-type timer struct {
-	wire  Wire
-	fn    func()
-	epoch uint64
-	armed bool
-}
-
-func newTimer(w Wire, fn func()) *timer { return &timer{wire: w, fn: fn} }
-
-func (t *timer) reset(d sim.Time) {
-	t.epoch++
-	t.armed = true
-	e := t.epoch
-	t.wire.After(d, func() {
-		if t.epoch != e || !t.armed {
-			return
-		}
-		t.armed = false
-		t.fn()
-	})
-}
-
-func (t *timer) stop() {
-	t.epoch++
-	t.armed = false
 }

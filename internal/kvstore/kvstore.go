@@ -156,7 +156,7 @@ type txn struct {
 	class   Class
 	started sim.Time
 	pending int
-	epoch   uint64 // guards the retry timer
+	retry   *sim.Timer // loss-retry timer; nil until first armed
 	// FaRM state.
 	phase    int
 	versions map[uint64]uint64
@@ -331,7 +331,7 @@ func (n *node) issue(t *txn) {
 
 // finish completes a transaction and keeps the closed loop full.
 func (n *node) finish(t *txn, committed bool) {
-	t.epoch++ // cancel retry timer
+	t.stopRetry()
 	st := n.st
 	if st.measuring {
 		if committed {
@@ -360,7 +360,7 @@ func (n *node) retryLater(t *txn) {
 		n.st.Stats.Aborted++
 	}
 	t.retries++
-	t.epoch++
+	t.stopRetry()
 	back := sim.Time(1+n.rng.Intn(1<<uint(min(t.retries, 6)))) * sim.Microsecond
 	n.st.eng().After(back, func() {
 		t.phase = 0
@@ -383,14 +383,16 @@ func (n *node) armRetry(t *txn) {
 	if n.st.Cfg.RetryTimeout <= 0 {
 		return
 	}
-	t.epoch++
-	epoch := t.epoch
-	n.st.eng().After(n.st.Cfg.RetryTimeout, func() {
-		if t.epoch != epoch {
-			return
-		}
-		n.recover(t)
-	})
+	if t.retry == nil {
+		t.retry = sim.NewTimer(n.st.eng(), func() { n.recover(t) })
+	}
+	t.retry.Reset(n.st.Cfg.RetryTimeout)
+}
+
+func (t *txn) stopRetry() {
+	if t.retry != nil {
+		t.retry.Stop()
+	}
 }
 
 // recover re-solicits replies for a transaction stuck on packet loss.

@@ -105,8 +105,13 @@ type hostWire struct {
 
 func (w hostWire) Now() sim.Time { return sim.Time(time.Since(w.n.start)) }
 
-func (w hostWire) After(d sim.Time, fn func()) {
-	time.AfterFunc(time.Duration(d), func() { w.n.post(fn) })
+// Timer backs a host timer with time.AfterFunc, posting each firing to
+// the loop.
+func (w hostWire) Timer(fn func()) *sim.Timer {
+	n := w.n
+	return sim.NewWallTimer(func(d sim.Time, fire func()) {
+		time.AfterFunc(time.Duration(d), func() { n.post(fire) })
+	}, fn)
 }
 
 func (w hostWire) Send(pkt *netsim.Packet) {

@@ -1052,15 +1052,6 @@ func (n *Network) RunUntil(deadline sim.Time) {
 	n.Eng.RunUntil(deadline)
 }
 
-// DrainEvents empties every event queue, returning the count of live
-// events that never executed (Engine.Drain aggregated over shards).
-func (n *Network) DrainEvents() int {
-	if n.sh != nil {
-		return n.sh.Drain()
-	}
-	return n.Eng.Drain()
-}
-
 // TotalStats merges the per-shard network statistics. On a single-engine
 // network it is exactly the Stats field.
 func (n *Network) TotalStats() Stats {

@@ -48,16 +48,11 @@ func NewCluster(eng *sim.Engine, n int, cfg Config, apply func(node, index int, 
 			ap = func(index int, cmd any) { apply(i, index, cmd) }
 		}
 		node := NewNode(i, peers, clusterTransport{c: c, id: i},
-			engineSched{eng}, rand.New(rand.NewSource(int64(1000+i))), cfg, ap)
+			eng, rand.New(rand.NewSource(int64(1000+i))), cfg, ap)
 		c.Nodes = append(c.Nodes, node)
 	}
 	return c
 }
-
-type engineSched struct{ eng *sim.Engine }
-
-func (s engineSched) After(d sim.Time, fn func()) { s.eng.After(d, fn) }
-func (s engineSched) Now() sim.Time               { return s.eng.Now() }
 
 func (c *Cluster) route(m Message) {
 	if m.To < 0 || m.To >= len(c.Nodes) {

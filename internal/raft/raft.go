@@ -4,8 +4,8 @@
 // Paxos or Raft, so it is highly available").
 //
 // The implementation is single-threaded and event-driven: it exchanges
-// messages through a Transport and takes time from a scheduler, so it runs
-// deterministically on the simulation engine.
+// messages through a Transport and arms its election and heartbeat timers
+// on the simulation engine, so it runs deterministically.
 package raft
 
 import (
@@ -83,12 +83,6 @@ type Transport interface {
 	Send(msg Message)
 }
 
-// Scheduler provides timers; the simulation engine satisfies it.
-type Scheduler interface {
-	After(d sim.Time, fn func())
-	Now() sim.Time
-}
-
 // Config tunes the protocol timers.
 type Config struct {
 	// HeartbeatInterval is the leader's AppendEntries cadence.
@@ -113,7 +107,6 @@ type Node struct {
 	peers []int
 	cfg   Config
 	tr    Transport
-	sched Scheduler
 	rng   *rand.Rand
 
 	role        Role
@@ -132,20 +125,25 @@ type Node struct {
 	// onLeader, if set, fires when this node becomes leader.
 	onLeader func()
 
-	electionEpoch  uint64
-	heartbeatEpoch uint64
-	stopped        bool
+	electionTimer, heartbeatTimer *sim.Timer
+	stopped                       bool
 }
 
 // NewNode creates a replica. peers lists ALL node IDs including id. apply
 // receives committed commands in order.
-func NewNode(id int, peers []int, tr Transport, sched Scheduler, rng *rand.Rand, cfg Config, apply func(index int, cmd any)) *Node {
+func NewNode(id int, peers []int, tr Transport, eng *sim.Engine, rng *rand.Rand, cfg Config, apply func(index int, cmd any)) *Node {
 	n := &Node{
-		ID: id, peers: peers, cfg: cfg, tr: tr, sched: sched, rng: rng,
+		ID: id, peers: peers, cfg: cfg, tr: tr, rng: rng,
 		votedFor: -1, apply: apply,
 		nextIndex:  make(map[int]int),
 		matchIndex: make(map[int]int),
 	}
+	n.electionTimer = sim.NewTimer(eng, func() {
+		if !n.stopped && n.role != Leader {
+			n.startElection()
+		}
+	})
+	n.heartbeatTimer = sim.NewTimer(eng, n.heartbeat)
 	n.resetElectionTimer()
 	return n
 }
@@ -201,16 +199,8 @@ func (n *Node) lastLogTerm() int {
 }
 
 func (n *Node) resetElectionTimer() {
-	n.electionEpoch++
-	epoch := n.electionEpoch
 	span := n.cfg.ElectionTimeoutMax - n.cfg.ElectionTimeoutMin
-	d := n.cfg.ElectionTimeoutMin + sim.Time(n.rng.Int63n(int64(span)+1))
-	n.sched.After(d, func() {
-		if n.stopped || n.electionEpoch != epoch || n.role == Leader {
-			return
-		}
-		n.startElection()
-	})
+	n.electionTimer.Reset(n.cfg.ElectionTimeoutMin + sim.Time(n.rng.Int63n(int64(span)+1)))
 }
 
 func (n *Node) startElection() {
@@ -253,14 +243,7 @@ func (n *Node) heartbeat() {
 		return
 	}
 	n.broadcastAppend()
-	n.heartbeatEpoch++
-	epoch := n.heartbeatEpoch
-	n.sched.After(n.cfg.HeartbeatInterval, func() {
-		if n.heartbeatEpoch != epoch {
-			return
-		}
-		n.heartbeat()
-	})
+	n.heartbeatTimer.Reset(n.cfg.HeartbeatInterval)
 }
 
 func (n *Node) broadcastAppend() {

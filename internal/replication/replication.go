@@ -154,7 +154,7 @@ type appendOp struct {
 	replies   int
 	checksums map[netsim.ProcID]uint64
 	done      func(ok bool)
-	epoch     uint64
+	retry     *sim.Timer // retransmission timer; nil without RetryTimeout
 	resolved  bool
 }
 
@@ -226,7 +226,18 @@ func (c *Client) Append(data any, size int, done func(ok bool)) {
 	cs.pending[e.Seq] = op
 	cs.window = append(cs.window, e)
 	cs.sendEntry(e, size)
-	cs.armTimer(op)
+	if g.Cfg.RetryTimeout > 0 {
+		op.retry = sim.NewTimer(g.cl.Net.Eng, func() {
+			if op.resolved {
+				return
+			}
+			// Replies lost or entries lost without a visible reject:
+			// retransmit from this sequence onward.
+			cs.retransmitFrom(op.entry.Seq)
+			op.retry.Reset(g.Cfg.RetryTimeout)
+		})
+		op.retry.Reset(g.Cfg.RetryTimeout)
+	}
 }
 
 func (cs *clientState) sendEntry(e Entry, size int) {
@@ -238,23 +249,6 @@ func (cs *clientState) sendEntry(e Entry, size int) {
 	// sequence numbers and client-driven retransmission, so the reliable
 	// plane's 2PC would only add latency.
 	cs.proc.SendOpts(msgs, core.SendOptions{})
-}
-
-func (cs *clientState) armTimer(op *appendOp) {
-	if cs.g.Cfg.RetryTimeout <= 0 {
-		return
-	}
-	op.epoch++
-	epoch := op.epoch
-	cs.g.cl.Net.Eng.After(cs.g.Cfg.RetryTimeout, func() {
-		if op.resolved || op.epoch != epoch {
-			return
-		}
-		// Replies lost or entries lost without a visible reject:
-		// retransmit from this sequence onward.
-		cs.retransmitFrom(op.entry.Seq)
-		cs.armTimer(op)
-	})
 }
 
 // retransmitFrom resends every unacknowledged entry at or after seq, in

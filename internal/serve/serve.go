@@ -165,7 +165,7 @@ type session struct {
 	rng     uint64 // SplitMix64 state
 	start   sim.Time
 	done    int
-	retryEp uint32 // guards the loss-retry timer
+	retry   *sim.Timer // loss-retry timer; nil without RetryTimeout
 	gen     workload.TxnSource
 	ops     []workload.Op // current request
 }
@@ -399,14 +399,14 @@ func (t *Tier) armRetry(id int) {
 		return
 	}
 	s := t.sessions[id]
-	s.retryEp++
-	ep, seq := s.retryEp, s.seq
-	t.eng.After(t.Cfg.RetryTimeout, func() {
-		if s.retryEp != ep || s.seq != seq || s.pending == 0 {
-			return
-		}
-		t.send(id) // same seq: owners dedup, stale replies are dropped
-	})
+	if s.retry == nil {
+		s.retry = sim.NewTimer(t.eng, func() {
+			if s.pending > 0 {
+				t.send(id) // same seq: owners dedup, stale replies are dropped
+			}
+		})
+	}
+	s.retry.Reset(t.Cfg.RetryTimeout)
 }
 
 // opBucket groups ops by owner in first-seen order (deterministic emission).
@@ -524,7 +524,9 @@ func (t *Tier) complete(m *repMsg) {
 	if s.pending > 0 {
 		return
 	}
-	s.retryEp++ // cancel the loss-retry timer
+	if s.retry != nil {
+		s.retry.Stop()
+	}
 	now := t.eng.Now()
 	lat := now - s.start
 	s.done++

@@ -67,6 +67,10 @@ type Engine struct {
 	// runaway-loop diagnostic.
 	Executed uint64
 
+	// cur is the sequence number of the event executing; a Timer firing
+	// compares it with its live arm's to recognize a superseded event.
+	cur uint64
+
 	// dead counts tombstones: events still in the heap whose effect was
 	// cancelled (a stopped or re-armed Timer). They execute as no-ops, so
 	// Pending subtracts them to report the number of *live* events.
@@ -175,8 +179,8 @@ func (e *Engine) pop() event {
 }
 
 // schedule clamps t to the present, assigns the FIFO sequence number and
-// enqueues.
-func (e *Engine) schedule(t Time, ev event) {
+// enqueues. It returns the assigned sequence number.
+func (e *Engine) schedule(t Time, ev event) uint64 {
 	if now := e.Now(); t < now {
 		t = now
 	}
@@ -189,6 +193,7 @@ func (e *Engine) schedule(t Time, ev event) {
 	}
 	ev.at = t
 	e.push(ev)
+	return ev.seq
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
@@ -243,6 +248,7 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.pop()
 	e.setNow(ev.at)
+	e.cur = ev.seq
 	e.Executed++
 	if ev.fn != nil {
 		ev.fn()
@@ -300,20 +306,6 @@ func (e *Engine) runWindow(horizon Time) {
 // firings still sitting in the heap as tombstones are not counted, so the
 // value is accurate after RunUntil exits early with stopped timers pending.
 func (e *Engine) Pending() int { return len(e.events) - e.dead }
-
-// Drain discards every queued event and returns how many of them were live
-// (not tombstones of cancelled timers). Use it at shutdown to account for
-// work the simulation never executed; after Drain the queue is empty and
-// Pending reports zero.
-func (e *Engine) Drain() int {
-	n := len(e.events) - e.dead
-	for i := range e.events {
-		e.events[i] = event{}
-	}
-	e.events = e.events[:0]
-	e.dead = 0
-	return n
-}
 
 // NextEventTime returns the timestamp of the earliest queued event and
 // whether one exists.

@@ -316,26 +316,3 @@ func TestPendingExcludesRearmedTimers(t *testing.T) {
 		t.Fatalf("Pending after Run = %d, want 0", got)
 	}
 }
-
-// TestDrainReturnsLiveCount: Drain empties the queue and reports only live
-// events, not timer tombstones.
-func TestDrainReturnsLiveCount(t *testing.T) {
-	e := NewEngine(1)
-	e.At(100, func() {})
-	e.At2(200, func(a, b any) {}, nil, nil)
-	tm := NewTimer(e, func() {})
-	tm.Reset(150)
-	tm.Stop()
-	if got := e.Drain(); got != 2 {
-		t.Fatalf("Drain = %d, want 2", got)
-	}
-	if got := e.Pending(); got != 0 {
-		t.Fatalf("Pending after Drain = %d, want 0", got)
-	}
-	if _, ok := e.NextEventTime(); ok {
-		t.Fatal("events remain after Drain")
-	}
-	if got := e.Drain(); got != 0 {
-		t.Fatalf("second Drain = %d, want 0", got)
-	}
-}

@@ -142,20 +142,6 @@ func (s *ShardedEngine) Pending() int {
 	return n
 }
 
-// Drain discards all queued events on every shard and returns the live
-// count, mirroring Engine.Drain.
-func (s *ShardedEngine) Drain() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.Drain()
-	}
-	for i := range s.outbox {
-		n += len(s.outbox[i])
-		s.outbox[i] = s.outbox[i][:0]
-	}
-	return n
-}
-
 // RunUntil executes events with timestamps <= deadline on every shard, then
 // advances the group clock to the deadline.
 func (s *ShardedEngine) RunUntil(deadline Time) {

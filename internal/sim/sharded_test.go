@@ -155,29 +155,25 @@ func TestShardedLookaheadViolationPanics(t *testing.T) {
 	s.RunUntil(5000)
 }
 
-// TestShardedPendingAndDrain: Pending aggregates live events across shards,
-// and Drain empties every queue while reporting the live count.
-func TestShardedPendingAndDrain(t *testing.T) {
+// TestShardedPending: Pending aggregates live events across shards and
+// does not count a stopped timer's tombstone.
+func TestShardedPending(t *testing.T) {
 	s := NewShardedEngine(3, 4, 10, false)
 	for i := 0; i < s.N(); i++ {
 		s.Shard(i).At(Time(1000+i), func() {})
 	}
-	tm := NewTimer(s.Shard(1), func() {})
+	tm := NewTimer(s.Shard(1), func() { t.Fatal("stopped timer fired") })
 	tm.Reset(2000)
 	tm.Stop() // tombstone: must not count as pending
 	if got := s.Pending(); got != 4 {
 		t.Fatalf("Pending = %d, want 4", got)
 	}
-	s.RunUntil(100) // nothing executes
-	if got := s.Drain(); got != 4 {
-		t.Fatalf("Drain = %d, want 4", got)
-	}
-	if got := s.Pending(); got != 0 {
-		t.Fatalf("Pending after Drain = %d, want 0", got)
-	}
 	s.RunUntil(5000)
-	if got := s.ExecutedTotal(); got != 0 { // Drain removed everything, tombstone included
-		t.Fatalf("ExecutedTotal after Drain = %d, want 0", got)
+	if got := s.Pending(); got != 0 {
+		t.Fatalf("Pending after run = %d, want 0", got)
+	}
+	if got := s.ExecutedTotal(); got != 5 { // the tombstone executes as a no-op
+		t.Fatalf("ExecutedTotal = %d, want 5", got)
 	}
 }
 

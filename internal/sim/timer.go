@@ -1,59 +1,90 @@
 package sim
 
-// Timer is a cancelable, re-armable one-shot timer on the simulation clock.
-// It is the building block for retransmission timeouts, beacon intervals,
-// and dead-link detection in the network model.
+// Timer is a cancelable, re-armable one-shot timer. It is the only timer
+// type in the tree: retransmission timeouts, beacon intervals, dead-link
+// detection and every service-layer retry, election and heartbeat timeout
+// are Timers.
+//
+// A timer has one of two backends:
+//
+//   - Engine (NewTimer): each Reset schedules one capture-free At2 event
+//     with a fresh sequence number, exactly as Engine.After would, so
+//     arming allocates nothing and the event order is the same as with a
+//     closure per arm. A firing superseded by Stop or a later Reset stays
+//     in the heap as a tombstone: it is recognized by its sequence number,
+//     runs as a no-op, and is counted in the engine's tombstone tally so
+//     Pending reports live events only.
+//   - Wall clock (NewWallTimer): each Reset hands a closure to a caller's
+//     scheduler (time.AfterFunc plus the owner's loop or lock), which must
+//     run it serialized with every Reset and Stop. A stale firing is
+//     recognized by an arm counter and runs as a no-op.
 type Timer struct {
 	eng   *Engine
+	after func(d Time, fire func())
 	fn    func()
-	epoch uint64 // invalidates in-flight events from earlier arms
+	// seq identifies the live arm: on the engine, the sequence number of
+	// its event; on the wall clock, a count of arms.
+	seq   uint64
 	armed bool
-	at    Time
 }
 
-// NewTimer creates a timer that invokes fn when it fires. The timer starts
-// disarmed.
+// NewTimer creates a timer on the simulation clock that invokes fn when it
+// fires. The timer starts disarmed.
 func NewTimer(eng *Engine, fn func()) *Timer {
 	return &Timer{eng: eng, fn: fn}
 }
 
+// NewWallTimer creates a timer whose firings are scheduled by after: it
+// must call fire once, d nanoseconds later, serialized with the timer's
+// Reset and Stop calls. The timer starts disarmed.
+func NewWallTimer(after func(d Time, fire func()), fn func()) *Timer {
+	return &Timer{after: after, fn: fn}
+}
+
 // Reset (re)arms the timer to fire d nanoseconds from now, replacing any
-// previously scheduled firing. The replaced firing stays in the event heap
-// as a tombstone (it runs as a no-op); the engine counts tombstones so
-// Pending stays accurate.
+// previously scheduled firing.
 func (t *Timer) Reset(d Time) {
-	if t.armed {
-		t.eng.dead++
+	e := t.eng
+	if e == nil {
+		t.seq++
+		t.armed = true
+		seq := t.seq
+		t.after(d, func() {
+			if t.armed && t.seq == seq {
+				t.armed = false
+				t.fn()
+			}
+		})
+		return
 	}
-	t.epoch++
+	if t.armed {
+		e.dead++
+	}
 	t.armed = true
-	t.at = t.eng.Now() + d
-	epoch := t.epoch
-	t.eng.After(d, func() {
-		if t.epoch != epoch {
-			t.eng.dead--
-			return
-		}
-		t.armed = false
-		t.fn()
-	})
+	t.seq = e.schedule(e.Now()+d, event{fn2: fireTimer, a: t})
+}
+
+// fireTimer is the capture-free body of every engine-backed timer event.
+func fireTimer(a, _ any) {
+	t := a.(*Timer)
+	if !t.armed || t.seq != t.eng.cur {
+		t.eng.dead--
+		return
+	}
+	t.armed = false
+	t.fn()
 }
 
 // Stop disarms the timer. It is safe to call on a disarmed timer.
 func (t *Timer) Stop() {
-	if t.armed {
+	if t.armed && t.eng != nil {
 		t.eng.dead++
 	}
-	t.epoch++
 	t.armed = false
 }
 
 // Armed reports whether the timer has a pending firing.
 func (t *Timer) Armed() bool { return t.armed }
-
-// Deadline returns the virtual time at which the timer will fire. Only
-// meaningful while Armed.
-func (t *Timer) Deadline() Time { return t.at }
 
 // Ticker invokes fn every interval until stopped. Used for periodic beacon
 // generation and controller heartbeats.

@@ -136,7 +136,7 @@ type txn struct {
 	shards  []shardOps
 	started sim.Time
 	pending int
-	epoch   uint64
+	retry   *sim.Timer // loss-retry timer; nil until first armed
 	retries int
 	// Lock/OCC state.
 	phase    int
@@ -164,13 +164,13 @@ type Bench struct {
 }
 
 type node struct {
-	b       *Bench
-	proc    *core.Proc
-	rng *rand.Rand
-	gen workload.ShardTxnSource
+	b    *Bench
+	proc *core.Proc
+	rng  *rand.Rand
+	gen  workload.ShardTxnSource
 	// defGen, when the default generator is in use, lets genTxn track
 	// runtime Cfg.SnapshotFrac mutations (benchmarks set it post-New).
-	defGen *workload.TPCCGen
+	defGen  *workload.TPCCGen
 	data    map[uint64]*record
 	cpuBusy sim.Time
 	applied map[*txn]bool
@@ -314,7 +314,7 @@ func (n *node) issue(t *txn) {
 }
 
 func (n *node) finish(t *txn, committed bool) {
-	t.epoch++
+	t.stopRetry()
 	b := n.b
 	if b.measuring {
 		if committed {
@@ -332,7 +332,7 @@ func (n *node) retryLater(t *txn) {
 		n.b.Stats.Aborted++
 	}
 	t.retries++
-	t.epoch++
+	t.stopRetry()
 	back := sim.Time(1+n.rng.Intn(1<<uint(min(t.retries, 6)))) * sim.Microsecond
 	n.b.cl.Net.Eng.After(back, func() {
 		t.phase, t.pending, t.lockIdx = 0, 0, 0
@@ -354,14 +354,16 @@ func (n *node) armRetry(t *txn) {
 	if n.b.Cfg.RetryTimeout <= 0 {
 		return
 	}
-	t.epoch++
-	epoch := t.epoch
-	n.b.cl.Net.Eng.After(n.b.Cfg.RetryTimeout, func() {
-		if t.epoch != epoch {
-			return
-		}
-		n.retryLater(t)
-	})
+	if t.retry == nil {
+		t.retry = sim.NewTimer(n.b.cl.Net.Eng, func() { n.retryLater(t) })
+	}
+	t.retry.Reset(n.b.Cfg.RetryTimeout)
+}
+
+func (t *txn) stopRetry() {
+	if t.retry != nil {
+		t.retry.Stop()
+	}
 }
 
 // serve models server CPU.

@@ -327,15 +327,19 @@ type udpWire struct{ h *HostNode }
 
 func (w udpWire) Now() sim.Time { return sim.Time(time.Since(w.h.epoch)) }
 
-func (w udpWire) After(d sim.Time, fn func()) {
+// Timer backs a host timer with time.AfterFunc; each firing runs under
+// the host lock and is dropped once the host is closed.
+func (w udpWire) Timer(fn func()) *sim.Timer {
 	h := w.h
-	time.AfterFunc(time.Duration(d), func() {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		if !h.closed {
-			fn()
-		}
-	})
+	return sim.NewWallTimer(func(d sim.Time, fire func()) {
+		time.AfterFunc(time.Duration(d), func() {
+			h.mu.Lock()
+			defer h.mu.Unlock()
+			if !h.closed {
+				fire()
+			}
+		})
+	}, fn)
 }
 
 // sendBufPool recycles encode buffers across Send calls; each is large
